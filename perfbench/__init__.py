@@ -1,0 +1,1 @@
+"""CuSP partitioner benchmark; run it with ``python3 perfbench/run.py``."""
