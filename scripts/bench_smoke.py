@@ -1,13 +1,16 @@
 #!/usr/bin/env python
-"""Benchmark smoke test: tiny graph, throughput floor + result digest.
+"""Benchmark smoke test: tiny graph, throughput floor + result digests.
 
-Partitions a small deterministic graph on both fabrics and asserts
+Partitions a small deterministic graph with one policy per edge-rule
+family — CVC (stateless, vectorized) and PGC (stateful PowerGraph
+greedy, whose estate is reconciled at every host boundary) — and asserts
 
-* the partition digest matches the committed reference
+* each policy's partition digest matches the committed reference
   (``scripts/bench_smoke_reference.json``) — partitions are a pure
   function of (graph, policy, seed), so any drift is a real behaviour
   change, not noise;
-* the columnar fabric clears a *very* conservative wall-clock
+* CVC agrees across both fabrics and the process executor;
+* CVC on the columnar fabric clears a *very* conservative wall-clock
   throughput floor, catching order-of-magnitude perf regressions
   without the variance problems of asserting real benchmark numbers
   in CI.
@@ -38,6 +41,8 @@ NUM_NODES = 2_000
 NUM_EDGES = 24_000
 SEED = 5
 POLICY = "CVC"
+#: Checked by digest only: the stateful edge-rule family.
+STATEFUL_POLICY = "PGC"
 NUM_HOSTS = 4
 #: Floor in edges/second — two orders of magnitude below what a
 #: single modern core measures, so only a gross regression trips it.
@@ -67,8 +72,12 @@ def run() -> dict:
     process_dg = CuSP(
         NUM_HOSTS, POLICY, fabric="columnar", executor="process"
     ).partition(graph)
+    pgc_dg = CuSP(NUM_HOSTS, STATEFUL_POLICY).partition(graph)
     return {
-        "digest": partition_digest(dg),
+        "digests": {
+            POLICY: partition_digest(dg),
+            STATEFUL_POLICY: partition_digest(pgc_dg),
+        },
         "scalar_digest": partition_digest(scalar_dg),
         "process_digest": partition_digest(process_dg),
         "edges": graph.num_edges,
@@ -86,37 +95,39 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     result = run()
 
-    if result["digest"] != result["scalar_digest"]:
+    digest = result["digests"][POLICY]
+    if digest != result["scalar_digest"]:
         print("FAIL: columnar and scalar fabrics disagree", file=sys.stderr)
         return 1
 
-    if result["digest"] != result["process_digest"]:
+    if digest != result["process_digest"]:
         print("FAIL: process executor diverges from serial", file=sys.stderr)
         return 1
 
     if args.write_reference:
         REFERENCE.write_text(json.dumps({
-            "policy": POLICY,
             "num_hosts": NUM_HOSTS,
             "graph": {"nodes": NUM_NODES, "edges": NUM_EDGES, "seed": SEED},
-            "digest": result["digest"],
+            "digests": result["digests"],
         }, indent=2) + "\n")
-        print(f"reference written: {result['digest'][:16]}…")
+        for policy, value in result["digests"].items():
+            print(f"reference written: {policy} {value[:16]}…")
         return 0
 
     if not REFERENCE.exists():
         print(f"FAIL: no committed reference at {REFERENCE}", file=sys.stderr)
         return 1
-    expected = json.loads(REFERENCE.read_text())["digest"]
-    if result["digest"] != expected:
-        print(
-            "FAIL: partition digest drifted\n"
-            f"  expected {expected}\n"
-            f"  got      {result['digest']}\n"
-            "(if the change is intended, rerun with --write-reference)",
-            file=sys.stderr,
-        )
-        return 1
+    expected = json.loads(REFERENCE.read_text())["digests"]
+    for policy, got in result["digests"].items():
+        if got != expected.get(policy):
+            print(
+                f"FAIL: {policy} partition digest drifted\n"
+                f"  expected {expected.get(policy)}\n"
+                f"  got      {got}\n"
+                "(if the change is intended, rerun with --write-reference)",
+                file=sys.stderr,
+            )
+            return 1
     if result["edges_per_s"] < THROUGHPUT_FLOOR:
         print(
             f"FAIL: throughput {result['edges_per_s']:.0f} edges/s below "
@@ -125,7 +136,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     print(
-        f"bench-smoke OK: digest {result['digest'][:16]}…, "
+        f"bench-smoke OK: {POLICY} digest {digest[:16]}…, "
+        f"{STATEFUL_POLICY} digest {result['digests'][STATEFUL_POLICY][:16]}…, "
         f"{result['edges_per_s'] / 1e6:.2f} Medges/s "
         f"({result['elapsed_s'] * 1e3:.0f} ms)"
     )

@@ -143,7 +143,7 @@ class _ReplicationView:
         return (
             self._owner._snap_degree[nodes]
             + self._owner._delta_degree[self._host][nodes]
-        ).astype(np.float64)
+        )
 
     def replicas_matrix(self, nodes: np.ndarray) -> np.ndarray:
         """(num_partitions, len(nodes)) presence matrix."""
@@ -151,6 +151,22 @@ class _ReplicationView:
             self._owner._snap_replicas[:, nodes]
             | self._owner._delta_replicas[self._host][:, nodes]
         )
+
+    def replica_masks(self, nodes: np.ndarray) -> list[int]:
+        """Each node's replica set as a Python ``int`` bitmask.
+
+        Bit ``p`` is set iff the node has a replica on partition ``p``;
+        packing runs over the partition axis, so any partition count
+        (including more than 64) yields exact masks.
+        """
+        packed = np.packbits(self.replicas_matrix(nodes), axis=0,
+                             bitorder="little")
+        width = packed.shape[0]
+        raw = np.ascontiguousarray(packed.T).tobytes()
+        return [
+            int.from_bytes(raw[i:i + width], "little")
+            for i in range(0, len(raw), width)
+        ]
 
     def place_batch(self, partitions: np.ndarray, src: np.ndarray,
                     dst: np.ndarray) -> None:
@@ -226,6 +242,73 @@ class GreedyVertexCut(EdgeRule):
             choice = int(np.argmin(load))
         estate.place(choice, src_id, dst_id)
         return choice
+
+    def owner_batch(self, prop, src_ids, dst_ids, src_masters, dst_masters,
+                    estate=None):
+        """Exact per-edge greedy over one host's stream, on scalar state.
+
+        Reads the host view once into plain Python state — one replica
+        bitmask per touched vertex, the load list and partial degrees —
+        runs :meth:`owner`'s case analysis edge by edge on it (same
+        ties, same float comparisons), and commits every decision with
+        one :meth:`_ReplicationView.place_batch`.  Owners and the final
+        estate are bit-identical to a loop of :meth:`owner`.
+        """
+        if estate is None:
+            raise ValueError("GreedyVertexCut requires estate")
+        src_ids = np.asarray(src_ids)
+        dst_ids = np.asarray(dst_ids)
+        n_edges = src_ids.size
+        nodes, local = np.unique(
+            np.concatenate([src_ids, dst_ids]), return_inverse=True
+        )
+        src_local = local[:n_edges].tolist()
+        dst_local = local[n_edges:].tolist()
+        masks = estate.replica_masks(nodes)
+        degree = estate.degrees_of(nodes).tolist()
+        load = estate.load.tolist()
+        num_partitions = len(load)
+        total = sum(load)
+        balance_cap = self.balance_cap
+        out = [0] * n_edges
+        for i in range(n_edges):
+            s = src_local[i]
+            d = dst_local[i]
+            a = masks[s]
+            b = masks[d]
+            if a & b:
+                pick = a & b
+            elif a and b:
+                pick = a if degree[s] >= degree[d] else b
+            else:
+                pick = a or b
+            if pick:
+                # Least-loaded set bit, lowest index on ties (argmin).
+                choice = -1
+                best = 0
+                while pick:
+                    low = pick & -pick
+                    p = low.bit_length() - 1
+                    if choice < 0 or load[p] < best:
+                        choice = p
+                        best = load[p]
+                    pick ^= low
+            else:
+                choice = load.index(min(load))
+            cap = balance_cap * (total / num_partitions + 1.0)
+            if load[choice] + 1 > cap and load[choice] - min(load) >= 4:
+                choice = load.index(min(load))
+            out[i] = choice
+            bit = 1 << choice
+            masks[s] |= bit
+            masks[d] |= bit
+            load[choice] += 1
+            total += 1
+            degree[s] += 1
+            degree[d] += 1
+        owners = np.array(out, dtype=np.int32)
+        estate.place_batch(owners, src_ids, dst_ids)
+        return owners
 
 
 class HDRFRule(EdgeRule):

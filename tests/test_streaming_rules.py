@@ -2,10 +2,62 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CuSP, GreedyVertexCut, HDRFRule, ReplicationState, make_policy
 from repro.graph import CSRGraph, get_dataset, star_graph
 from repro.runtime import Communicator
+
+from .strategies import graphs
+
+
+def _owner_loop(rule, src, dst, view) -> np.ndarray:
+    """The reference: the paper-signature ``owner()`` called per edge."""
+    return np.array(
+        [rule.owner(None, int(s), int(d), 0, 0, view)
+         for s, d in zip(src, dst)],
+        dtype=np.int32,
+    )
+
+
+def _estate_arrays(state: ReplicationState) -> list[np.ndarray]:
+    return [
+        state._snap_replicas, state._snap_load, state._snap_degree,
+        *state._delta_replicas, *state._delta_load, *state._delta_degree,
+    ]
+
+
+def _assert_batch_matches_loop(rule, src, dst, num_nodes, num_partitions,
+                               num_hosts, host=0, prefill=()):
+    """``owner_batch`` on one state vs an ``owner()`` loop on a twin.
+
+    ``prefill`` rows ``(stage, partition, u, v)`` pre-populate both
+    states identically before the stream: stage ``"synced"`` places on
+    ``host`` and is then reconciled by a ``sync_round``; ``"own"`` stays
+    in ``host``'s pending delta; ``"other"`` stays in another host's
+    pending delta, which ``host``'s view must not see.
+    """
+    other = (host + 1) % num_hosts
+    states = []
+    for _ in range(2):
+        state = rule.make_state(num_partitions, num_hosts, num_nodes)
+        for stage in ("synced", "own", "other"):
+            view = state.host_view(other if stage == "other" else host)
+            for row_stage, part, u, v in prefill:
+                if row_stage == stage:
+                    view.place(part, u, v)
+            if stage == "synced":
+                state.sync_round(Communicator(num_hosts))
+        states.append(state)
+    zeros = np.zeros(src.size, dtype=np.int32)
+    got = rule.owner_batch(None, src, dst, zeros, zeros,
+                           states[0].host_view(host))
+    want = _owner_loop(rule, src, dst, states[1].host_view(host))
+    assert got.dtype == np.int32
+    np.testing.assert_array_equal(got, want)
+    for a, b in zip(_estate_arrays(states[0]), _estate_arrays(states[1])):
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +134,76 @@ class TestGreedyVertexCut:
     def test_invalid_cap(self):
         with pytest.raises(ValueError):
             GreedyVertexCut(balance_cap=0.5)
+
+    def test_batch_requires_state(self):
+        src = np.array([0, 1])
+        with pytest.raises(ValueError):
+            GreedyVertexCut().owner_batch(None, src, src, src, src,
+                                          estate=None)
+
+    def test_batch_empty_stream(self):
+        rule = GreedyVertexCut()
+        view = rule.make_state(4, 1, num_nodes=3).host_view(0)
+        empty = np.empty(0, dtype=np.int64)
+        out = rule.owner_batch(None, empty, empty, empty, empty, view)
+        assert out.dtype == np.int32 and out.size == 0
+        assert view.load.tolist() == [0, 0, 0, 0]
+
+
+class TestReplicaMasks:
+    @pytest.mark.parametrize("num_partitions", [1, 8, 64, 65, 70])
+    def test_masks_match_presence(self, num_partitions):
+        state = ReplicationState(num_partitions, 2, num_nodes=4)
+        top = num_partitions - 1
+        state.host_view(0).place(top, 0, 1)
+        state.sync_round(Communicator(2))
+        state.host_view(0).place(0, 1, 2)
+        state.host_view(1).place(top // 2, 3, 3)  # invisible to host 0
+        masks = state.host_view(0).replica_masks(np.arange(4))
+        assert masks == [1 << top, (1 << top) | 1, 1, 0]
+
+
+class TestGreedyBatchEquivalence:
+    """The scalar bitmask kernel is exactly the per-edge ``owner()``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=graphs(max_nodes=30, max_edges=150),
+        num_partitions=st.sampled_from([1, 8, 64, 65, 70]),
+        num_hosts=st.integers(2, 3),
+        host=st.integers(0, 2),
+        balance_cap=st.sampled_from([1.0, 1.25, 3.0]),
+        extra=st.data(),
+    )
+    def test_owner_batch_equals_owner_loop(self, graph, num_partitions,
+                                           num_hosts, host, balance_cap,
+                                           extra):
+        n = graph.num_nodes
+        src, dst = graph.edges()
+        # Explicit self-loop and duplicate edge on top of whatever the
+        # drawn multigraph already holds.
+        src = np.concatenate([src, [n - 1], src[:1]]).astype(np.int64)
+        dst = np.concatenate([dst, [n - 1], dst[:1]]).astype(np.int64)
+        prefill = extra.draw(st.lists(
+            st.tuples(
+                st.sampled_from(["synced", "own", "other"]),
+                st.integers(0, num_partitions - 1),
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+            ),
+            max_size=40,
+        ))
+        _assert_batch_matches_loop(
+            GreedyVertexCut(balance_cap=balance_cap), src, dst, n,
+            num_partitions, num_hosts, host % num_hosts, prefill,
+        )
+
+    def test_kron_stream_all_cases(self, crawl):
+        """A skewed stream reaching every branch, incl. the cap override."""
+        src, dst = crawl.edges()
+        for num_partitions in (3, 8, 70):
+            _assert_batch_matches_loop(GreedyVertexCut(), src, dst,
+                                       crawl.num_nodes, num_partitions, 2)
 
 
 class TestHDRF:
@@ -161,15 +283,10 @@ class TestHDRFChunked:
     """The chunked batch path (intra-chunk staleness, §IV-D4 semantics)."""
 
     def test_chunk_one_equals_scalar(self, crawl):
-        from repro.core import ContiguousEB, Policy
-
-        exact = CuSP(4, Policy("a", ContiguousEB(),
-                               HDRFRule(chunk_size=1))).partition(crawl)
-        scalar_like = CuSP(4, Policy("b", ContiguousEB(),
-                                     HDRFRule(chunk_size=1))).partition(crawl)
-        assert np.array_equal(exact.masters, scalar_like.masters)
-        for pa, pb in zip(exact.partitions, scalar_like.partitions):
-            assert pa.local_graph == pb.local_graph
+        src, dst = crawl.edges()
+        prefill = [("synced", 1, 0, 5), ("own", 2, 5, 9), ("other", 0, 9, 0)]
+        _assert_batch_matches_loop(HDRFRule(chunk_size=1), src, dst,
+                                   crawl.num_nodes, 4, 2, prefill=prefill)
 
     def test_chunked_valid_and_balanced(self, crawl):
         from repro.core import ContiguousEB, Policy
